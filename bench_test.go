@@ -10,10 +10,12 @@ package memcon
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"memcon/internal/core"
@@ -595,6 +597,45 @@ func BenchmarkTraceGeneration(b *testing.B) {
 			b.Fatal("empty trace")
 		}
 	}
+}
+
+// BenchmarkGenerate builds each Table 1 application's trace at the
+// settings the figures-trace benchmark workload uses (scale 0.05).
+func BenchmarkGenerate(b *testing.B) {
+	for _, app := range workload.Apps() {
+		b.Run(app.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			var events int
+			for i := 0; i < b.N; i++ {
+				events = len(app.Generate(42, 0.05).Events)
+			}
+			b.ReportMetric(float64(events), "events/op")
+		})
+	}
+}
+
+// BenchmarkTraceSort sorts the Netflix trace from page-major order
+// (each page's writes in time order, pages one after another), the
+// input the repository benchmark's trace.sort drill times. Restoring
+// the unsorted copy each iteration is excluded from the time.
+func BenchmarkTraceSort(b *testing.B) {
+	tr := benchTrace(b)
+	pageMajor := slices.Clone(tr.Events)
+	slices.SortStableFunc(pageMajor, func(x, y trace.Event) int { return cmp.Compare(x.Page, y.Page) })
+	work := &trace.Trace{Name: tr.Name, Duration: tr.Duration, Events: make([]trace.Event, len(pageMajor))}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		copy(work.Events, pageMajor)
+		b.StartTimer()
+		work.Sort()
+	}
+	b.StopTimer()
+	if !slices.Equal(work.Events, tr.Events) {
+		b.Fatal("Sort of the page-major events differs from Generate")
+	}
+	b.ReportMetric(float64(len(tr.Events)), "events/op")
 }
 
 // --- Benches for extension substrates ---

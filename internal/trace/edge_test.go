@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
+	"runtime"
 	"testing"
 )
 
@@ -70,6 +72,33 @@ func TestReadRejectsHugeName(t *testing.T) {
 	b[8], b[9], b[10], b[11] = 0xFF, 0xFF, 0xFF, 0x7F
 	if _, err := Read(bytes.NewReader(b)); err == nil {
 		t.Error("huge name length accepted")
+	}
+}
+
+// A v1 header may declare up to 2^32 events; Read must not allocate
+// for them before the event bytes arrive. This 28-byte stream once made
+// Read ask for 64 GiB.
+func TestReadDoesNotTrustEventCount(t *testing.T) {
+	var buf bytes.Buffer
+	if err := (&Trace{Duration: 1}).Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	b := buf.Bytes()
+	if len(b) != 28 {
+		t.Fatalf("empty-name v1 header is %d bytes, want 28", len(b))
+	}
+	// The event count is the final 8 bytes, little endian.
+	binary.LittleEndian.PutUint64(b[20:], 1<<32)
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Read(bytes.NewReader(b))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("header declaring 2^32 events with no body accepted")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 64<<20 {
+		t.Errorf("Read allocated %d MiB for a bodiless header", grew>>20)
 	}
 }
 

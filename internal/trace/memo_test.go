@@ -38,6 +38,21 @@ func TestAnalysisAccessorsAllocationFree(t *testing.T) {
 	}
 }
 
+// Intervals sizes its result once: after the page index is memoized it
+// allocates only the sorted page list and the result, however many
+// intervals there are.
+func TestIntervalsAllocatesOnce(t *testing.T) {
+	tr := memoTrace()
+	tr.PageWrites()
+	var ivs []float64
+	if n := testing.AllocsPerRun(100, func() { ivs = tr.Intervals(true) }); n != 2 {
+		t.Errorf("Intervals allocates %.1f times per call after warm-up, want 2", n)
+	}
+	if len(ivs) != len(tr.Events) {
+		t.Errorf("%d intervals, want one per event (every page has a trailing interval)", len(ivs))
+	}
+}
+
 // TestSortInvalidatesMemos pins the invalidation contract: mutate
 // Events, Sort, and every accessor must see the new shape.
 func TestSortInvalidatesMemos(t *testing.T) {

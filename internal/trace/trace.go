@@ -7,15 +7,23 @@
 // Timestamps are in microseconds: intra-burst write gaps are tens of
 // microseconds while the intervals MEMCON exploits are hundreds of
 // milliseconds, so microseconds cover both ends comfortably in an int64.
+//
+// Construction contract: a trace's events are ordered by time, and
+// events at the same time keep the order their producer added them in —
+// the order a stable sort on At gives the appended events. Generators
+// add page-major runs (each page's writes in increasing time, one page
+// after another) to a Builder, whose linear-time radix sort returns
+// exactly that order; other producers append and call Sort.
 package trace
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"sync/atomic"
 )
 
@@ -51,7 +59,10 @@ type Trace struct {
 	// Duration is the traced execution time; it is at least the last
 	// event timestamp.
 	Duration Microseconds
-	// Events are sorted by At (ties keep insertion order).
+	// Events are sorted by At; events with equal At keep the order
+	// their producer added them in, so a trace built by Builder from
+	// page-major runs equals the stable sort of those runs
+	// concatenated.
 	Events []Event
 
 	// pageStats caches Pages/MaxPage; perPage caches the PageWrites
@@ -70,9 +81,15 @@ type pageStats struct {
 // Sort orders events by timestamp, preserving the relative order of
 // simultaneous events, and invalidates the memoized analysis indexes.
 func (t *Trace) Sort() {
-	sort.SliceStable(t.Events, func(i, j int) bool { return t.Events[i].At < t.Events[j].At })
+	sortStable(t.Events)
 	t.pageStats.Store(nil)
 	t.perPage.Store(nil)
+}
+
+// sortStable orders events by At, keeping the relative order of
+// simultaneous events.
+func sortStable(events []Event) {
+	slices.SortStableFunc(events, func(a, b Event) int { return cmp.Compare(a.At, b.At) })
 }
 
 // Validate checks internal consistency: sorted events, non-negative
@@ -144,7 +161,7 @@ func (t *Trace) WritesPerPage() map[uint32][]Microseconds {
 // trace after another. A nil m allocates a fresh map.
 func (t *Trace) AppendWritesPerPage(m map[uint32][]Microseconds) map[uint32][]Microseconds {
 	if m == nil {
-		m = make(map[uint32][]Microseconds)
+		m = make(map[uint32][]Microseconds, t.Pages())
 	}
 	for p, times := range m {
 		m[p] = times[:0]
@@ -182,7 +199,10 @@ func (t *Trace) PageWrites() map[uint32][]Microseconds {
 // the interval experiments — is byte-stable across process runs.
 func (t *Trace) Intervals(includeTrailing bool) []float64 {
 	perPage := t.PageWrites()
-	var out []float64
+	// Each event closes at most one interval, so this capacity is never
+	// outgrown: growing by append would leave a trail of garbage as
+	// large as the result.
+	out := make([]float64, 0, len(t.Events))
 	for _, page := range sortedPages(perPage) {
 		times := perPage[page]
 		for i := 1; i < len(times); i++ {
@@ -203,7 +223,7 @@ func sortedPages(m map[uint32][]Microseconds) []uint32 {
 	for p := range m {
 		pages = append(pages, p)
 	}
-	sort.Slice(pages, func(i, j int) bool { return pages[i] < pages[j] })
+	slices.Sort(pages)
 	return pages
 }
 
@@ -214,17 +234,17 @@ func sortedPages(m map[uint32][]Microseconds) []uint32 {
 // intervals shrink proportionally.
 func (t *Trace) HalveIntervals() *Trace {
 	perPage := t.PageWrites()
-	out := &Trace{Name: t.Name + "-halved", Duration: t.Duration / 2}
+	var b Builder
 	for _, page := range sortedPages(perPage) {
 		times := perPage[page]
 		at := times[0] / 2
-		out.Events = append(out.Events, Event{Page: page, At: at})
+		b.Add(Event{Page: page, At: at})
 		for i := 1; i < len(times); i++ {
 			at += (times[i] - times[i-1]) / 2
-			out.Events = append(out.Events, Event{Page: page, At: at})
+			b.Add(Event{Page: page, At: at})
 		}
 	}
-	out.Sort()
+	out := &Trace{Name: t.Name + "-halved", Duration: t.Duration / 2, Events: b.SortedEvents()}
 	if n := len(out.Events); n > 0 && out.Events[n-1].At > out.Duration {
 		out.Duration = out.Events[n-1].At
 	}
@@ -311,14 +331,20 @@ func Read(r io.Reader) (*Trace, error) {
 	if count > 1<<32 {
 		return nil, fmt.Errorf("%w: implausible event count %d", ErrBadFormat, count)
 	}
-	t.Events = make([]Event, count)
-	for i := range t.Events {
-		if err := binary.Read(br, binary.LittleEndian, &t.Events[i].Page); err != nil {
+	// The header's count is untrusted until the events arrive: preallocate
+	// at most maxEventPrealloc and grow by append, as ReadCompact does.
+	if count > 0 {
+		t.Events = make([]Event, 0, min(count, maxEventPrealloc))
+	}
+	for i := uint64(0); i < count; i++ {
+		var e Event
+		if err := binary.Read(br, binary.LittleEndian, &e.Page); err != nil {
 			return nil, fmt.Errorf("trace: reading event %d: %w", i, err)
 		}
-		if err := binary.Read(br, binary.LittleEndian, &t.Events[i].At); err != nil {
+		if err := binary.Read(br, binary.LittleEndian, &e.At); err != nil {
 			return nil, fmt.Errorf("trace: reading event %d: %w", i, err)
 		}
+		t.Events = append(t.Events, e)
 	}
 	return t, nil
 }

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -171,6 +172,53 @@ func TestReadRejectsGarbage(t *testing.T) {
 	if _, err := Read(bytes.NewReader(buf.Bytes()[:len(b)-4])); err == nil {
 		t.Error("truncated stream accepted")
 	}
+}
+
+// FuzzRead feeds arbitrary bytes to the v1 decoder: it must never
+// panic, and an accepted input must re-encode to exactly the bytes it
+// was decoded from (v1 is fixed-width, so its encoding is canonical)
+// and decode again to the same trace.
+func FuzzRead(f *testing.F) {
+	var buf bytes.Buffer
+	if err := sampleTrace().Write(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	buf.Reset()
+	if err := (&Trace{Duration: 1}).Write(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Add(append(buf.Bytes()[:20:20], 0, 0, 0, 0, 1, 0, 0, 0)) // declares 2^32 events, no body
+	f.Add([]byte("MCTR garbage"))
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		tr, err := Read(bytes.NewReader(raw))
+		if err != nil {
+			return
+		}
+		var first bytes.Buffer
+		if err := tr.Write(&first); err != nil {
+			t.Fatalf("re-encoding a decoded trace: %v", err)
+		}
+		if !bytes.HasPrefix(raw, first.Bytes()) {
+			t.Fatalf("re-encode is not the decoded prefix:\n raw %x\n got %x", raw, first.Bytes())
+		}
+		again, err := Read(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("re-encoded trace failed to decode: %v", err)
+		}
+		if again.Name != tr.Name || again.Duration != tr.Duration || !slices.Equal(again.Events, tr.Events) {
+			t.Fatalf("round-trip changed the trace: %q/%d/%d events vs %q/%d/%d events",
+				again.Name, again.Duration, len(again.Events), tr.Name, tr.Duration, len(tr.Events))
+		}
+		var second bytes.Buffer
+		if err := again.Write(&second); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("re-encode is not a fixed point:\n first  %x\n second %x", first.Bytes(), second.Bytes())
+		}
+	})
 }
 
 // Property: Write/Read round-trips arbitrary traces.

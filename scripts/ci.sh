@@ -60,9 +60,9 @@ go test -race -run 'TestFleet' ./cmd/memconsim
 # compile or runtime breakage in the bench harness without spending
 # CI time on stable measurements. Real numbers come from
 # scripts/bench.sh, which rewrites BENCH_hotpath.json,
-# BENCH_engine.json and BENCH_fleet.json.
+# BENCH_engine.json, BENCH_fleet.json and BENCH_trace.json.
 echo "== bench smoke =="
-go test -run '^$' -bench 'BenchmarkReadBack|BenchmarkFailingCells|BenchmarkFailingCellsDense|BenchmarkDisturbScan|BenchmarkEngineRun|BenchmarkFleetRun' -benchtime=1x .
+go test -run '^$' -bench 'BenchmarkReadBack|BenchmarkFailingCells|BenchmarkFailingCellsDense|BenchmarkDisturbScan|BenchmarkEngineRun|BenchmarkFleetRun|BenchmarkGenerate/|BenchmarkTraceSort' -benchtime=1x .
 
 # Mapping sweep smoke: one chip-level experiment per vendor address
 # mapping, race-instrumented and fanned out over 4 workers. Catches a
