@@ -23,9 +23,14 @@ bench:
 	$(GO) test -bench=. -benchmem -run='^$$' .
 
 # fuzz gives each fuzz target a short budget on top of its checked-in
-# seed corpus.
+# seed corpus. go test fuzzes one target per invocation.
 fuzz:
-	$(GO) test -fuzz=FuzzMemconsimArgs -fuzztime=10s ./cmd/memconsim
+	$(GO) test -run='^$$' -fuzz='^FuzzMemconsimArgs$$' -fuzztime=10s ./cmd/memconsim
+	$(GO) test -run='^$$' -fuzz='^FuzzRead$$' -fuzztime=10s ./internal/trace
+	$(GO) test -run='^$$' -fuzz='^FuzzStream$$' -fuzztime=10s ./internal/trace
+	$(GO) test -run='^$$' -fuzz='^FuzzCELog$$' -fuzztime=10s ./internal/fleet
+	$(GO) test -run='^$$' -fuzz='^FuzzDiskStore$$' -fuzztime=10s ./internal/servecache
+	$(GO) test -run='^$$' -fuzz='^FuzzRequest$$' -fuzztime=10s ./internal/experiments
 
 ci:
 	./scripts/ci.sh

@@ -1,13 +1,13 @@
 // Command memcond serves the MEMCON experiment registry over HTTP.
 //
-// It exposes the same 28 experiments as memconsim, but as a daemon
+// It exposes the same 30 experiments as memconsim, but as a daemon
 // with a content-addressed result cache: POST /v1/experiments/{id}
 // with a provenance-options JSON body runs the experiment on a bounded
 // worker pool and returns the canonical report; an identical request —
-// same id, seed, scale, simulated time, mixes, fleet size and report
-// version — is answered from the cache, byte-identical, without
-// re-running. Concurrent identical requests collapse onto a single
-// run (singleflight). The determinism contract the CLI pins with its
+// same id, seed, scale, simulated time, mixes, fleet size, mapping,
+// mitigation and report version — is answered from the cache,
+// byte-identical, without re-running. Concurrent identical requests
+// collapse onto a single run (singleflight). The determinism contract the CLI pins with its
 // golden files is what makes this sound: a cache hit IS the answer.
 //
 // The cache is two-tier: a sharded in-memory LRU in front of an
@@ -59,8 +59,29 @@ import (
 	"time"
 )
 
+// Connection timeouts. A client gets readHeaderTimeout to send its
+// request headers, so a slow or stalled sender cannot hold a connection
+// open forever; an idle keep-alive connection is closed after
+// idleTimeout, well above the pause between requests of a client that
+// reuses its connections. No read or write timeout is set: a run may
+// legitimately take up to -timeout, and SSE streams stay open for it.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 5 * time.Minute
+)
+
 func main() {
 	os.Exit(run())
+}
+
+// newHTTPServer wraps the daemon's handler in the http.Server it is
+// served by.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 }
 
 func run() int {
@@ -125,7 +146,7 @@ func run() int {
 		}
 	}()
 
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := newHTTPServer(srv.Handler())
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGTERM, syscall.SIGINT)

@@ -82,7 +82,7 @@ func (c Config) withDefaults() Config {
 // errBusy is returned when the wait queue is full; mapped to 503.
 var errBusy = errors.New("memcond: worker queue full")
 
-// Server is the experiment-serving daemon: the 28-id experiment
+// Server is the experiment-serving daemon: the 30-id experiment
 // registry behind an HTTP/JSON API with a content-addressed result
 // cache, a bounded worker pool, SSE progress, and Prometheus metrics.
 type Server struct {

@@ -133,7 +133,7 @@ func TestSeedZeroAndDefaultsDecode(t *testing.T) {
 		t.Errorf("defaults request = %+v, want %+v", got, want)
 	}
 
-	// Explicit zero seed survives (no SeedSet special-casing).
+	// Explicit zero seed survives.
 	_, body = postJSON(t, ts.URL+"/v1/experiments/fig4", `{"seed":0}`)
 	if err := json.Unmarshal(body, &got); err != nil {
 		t.Fatal(err)
@@ -522,7 +522,7 @@ func TestRevalidate(t *testing.T) {
 	key := servecache.Key(req.CacheKey())
 	drifted := req
 	drifted.Seed = 9
-	res, err := experiments.RunContext(context.Background(), drifted)
+	res, err := experiments.RunRequest(context.Background(), drifted, experiments.Runtime{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -628,7 +628,7 @@ func TestGracefulDrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := newHTTPServer(srv.Handler())
 	go hs.Serve(ln)
 
 	url := "http://" + ln.Addr().String() + "/v1/experiments/fig4"
@@ -673,6 +673,47 @@ func TestGracefulDrain(t *testing.T) {
 	// New connections are refused after the drain.
 	if _, err := http.Post(url, "application/json", strings.NewReader(smallBody)); err == nil {
 		t.Error("request accepted after drain completed")
+	}
+}
+
+// TestSlowHeaderDisconnected pins the connection timeouts: a client
+// that sends half a request line and then stalls is disconnected once
+// the header timeout passes, instead of holding the connection forever.
+func TestSlowHeaderDisconnected(t *testing.T) {
+	srv := mustServer(t, Config{})
+	hs := newHTTPServer(srv.Handler())
+	if hs.ReadHeaderTimeout <= 0 || hs.ReadHeaderTimeout > 30*time.Second {
+		t.Errorf("ReadHeaderTimeout = %v, want a bound of at most 30s", hs.ReadHeaderTimeout)
+	}
+	if hs.IdleTimeout < 2*time.Minute {
+		t.Errorf("IdleTimeout = %v, want at least 2m so keep-alive clients are not cut mid-run", hs.IdleTimeout)
+	}
+	hs.ReadHeaderTimeout = 100 * time.Millisecond
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go hs.Serve(ln)
+	defer hs.Close()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "GET /heal"); err != nil {
+		t.Fatal(err)
+	}
+	// The server must close the connection long before this deadline;
+	// hitting it means the stalled client is still being held.
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	start := time.Now()
+	if _, err := io.ReadAll(conn); err != nil {
+		t.Fatalf("stalled client not disconnected: %v", err)
+	}
+	if d := time.Since(start); d > 2*time.Second {
+		t.Errorf("disconnect took %v with a 100ms header timeout", d)
 	}
 }
 

@@ -16,7 +16,7 @@ func TestAblationsRegistered(t *testing.T) {
 }
 
 func TestRunAblBuffer(t *testing.T) {
-	out, err := Run("abl-buffer", testOpts())
+	out, err := testRun("abl-buffer")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestRunAblBuffer(t *testing.T) {
 }
 
 func TestRunAblAccel(t *testing.T) {
-	out, err := Run("abl-accel", testOpts())
+	out, err := testRun("abl-accel")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestRunAblAccel(t *testing.T) {
 }
 
 func TestRunAblPril(t *testing.T) {
-	out, err := Run("abl-pril", testOpts())
+	out, err := testRun("abl-pril")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestRunAblPril(t *testing.T) {
 }
 
 func TestRunEnergy(t *testing.T) {
-	out, err := Run("energy", testOpts())
+	out, err := testRun("energy")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestRunEnergy(t *testing.T) {
 }
 
 func TestRunVRT(t *testing.T) {
-	out, err := Run("vrt", testOpts())
+	out, err := testRun("vrt")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestRunVRT(t *testing.T) {
 }
 
 func TestRunClosedLoop(t *testing.T) {
-	out, err := Run("loop", testOpts())
+	out, err := testRun("loop")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestRunClosedLoop(t *testing.T) {
 }
 
 func TestRunProfile(t *testing.T) {
-	out, err := Run("profile", testOpts())
+	out, err := testRun("profile")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestRunProfile(t *testing.T) {
 }
 
 func TestRunAblRemap(t *testing.T) {
-	out, err := Run("abl-remap", testOpts())
+	out, err := testRun("abl-remap")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,9 +198,8 @@ func TestRunAblRemap(t *testing.T) {
 }
 
 func TestCSVExports(t *testing.T) {
-	opts := testOpts()
 	for _, id := range []string{"fig6", "fig9", "fig11", "fig12", "fig14"} {
-		out, err := Run(id, opts)
+		out, err := testRun(id)
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}

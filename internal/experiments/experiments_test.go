@@ -8,9 +8,18 @@ import (
 	"memcon/internal/dram"
 )
 
-// testOpts keeps experiment runtime small for the unit-test suite.
-func testOpts() Options {
-	return Options{Scale: 0.04, Seed: 42, SimTimeNs: 200_000, Mixes: 3}
+// testRequest keeps experiment runtime small for the unit-test suite.
+func testRequest(id string) Request {
+	r := DefaultRequest(id)
+	r.Scale = 0.04
+	r.SimTimeNs = 200_000
+	r.Mixes = 3
+	return r
+}
+
+// testRun runs testRequest(id) with the default runtime.
+func testRun(id string) (Result, error) {
+	return RunRequest(context.Background(), testRequest(id), Runtime{})
 }
 
 func TestRegistryComplete(t *testing.T) {
@@ -38,39 +47,28 @@ func TestRegistryComplete(t *testing.T) {
 	if _, err := Describe("nope"); err == nil {
 		t.Error("unknown id described")
 	}
-	if _, err := Run("nope", Options{}); err == nil {
+	if _, err := RunRequest(context.Background(), Request{Experiment: "nope"}, Runtime{}); err == nil {
 		t.Error("unknown id ran")
 	}
 }
 
-func TestOptionsNormalize(t *testing.T) {
-	n := (Options{}).normalize()
-	d := DefaultOptions()
-	if n != d {
-		t.Errorf("normalized zero options = %+v, want defaults %+v", n, d)
-	}
-	o := Options{Scale: 0.5, Seed: 7, SimTimeNs: 100, Mixes: 2, Fleet: 12, Workers: 3, Ctx: context.Background()}
-	if got := o.normalize(); got != o {
-		t.Errorf("valid options changed by normalize: %+v", got)
-	}
-	// Partially-set options keep what is set and fill the rest.
-	p := (Options{Workers: 2}).normalize()
-	if p.Workers != 2 {
-		t.Errorf("normalize clobbered Workers: %d", p.Workers)
-	}
-	if p.Ctx == nil {
-		t.Error("normalize left Ctx nil")
-	}
-}
-
-// TestSeedZeroExplicit pins the SeedSet mechanism: a zero Seed is the
-// default unless the caller marks it explicit, in which case it sticks.
+// TestSeedZeroExplicit pins that Seed is literal: zero is seed 0, never
+// a cue to substitute the default, through Normalize and the cache key.
 func TestSeedZeroExplicit(t *testing.T) {
-	if n := (Options{Seed: 0}).normalize(); n.Seed != DefaultOptions().Seed {
-		t.Errorf("implicit zero seed = %d, want default %d", n.Seed, DefaultOptions().Seed)
+	zero := testRequest("fig6")
+	zero.Seed = 0
+	if err := zero.Normalize(); err != nil {
+		t.Fatal(err)
 	}
-	if n := (Options{Seed: 0, SeedSet: true}).normalize(); n.Seed != 0 {
-		t.Errorf("explicit zero seed replaced with %d", n.Seed)
+	if zero.Seed != 0 {
+		t.Errorf("explicit zero seed replaced with %d", zero.Seed)
+	}
+	def := testRequest("fig6")
+	if err := def.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	if zero.KeyHex() == def.KeyHex() {
+		t.Error("seed 0 and the default seed share a cache key")
 	}
 }
 
@@ -78,15 +76,15 @@ func TestSeedZeroExplicit(t *testing.T) {
 // normalized inputs (and only the inputs — Workers deliberately absent
 // from the Provenance type) on every result's report.
 func TestRunStampsProvenance(t *testing.T) {
-	opts := testOpts()
-	opts.Version = "test-build"
-	out, err := Run("minwi", opts)
+	req := testRequest("minwi")
+	req.Version = "test-build"
+	out, err := RunRequest(context.Background(), req, Runtime{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := out.Report().Prov
-	if p.Experiment != "minwi" || p.Seed != opts.Seed || p.Scale != opts.Scale ||
-		p.SimTimeNs != opts.SimTimeNs || p.Mixes != opts.Mixes || p.Version != "test-build" {
+	if p.Experiment != "minwi" || p.Seed != req.Seed || p.Scale != req.Scale ||
+		p.SimTimeNs != req.SimTimeNs || p.Mixes != req.Mixes || p.Version != "test-build" {
 		t.Errorf("provenance = %+v", p)
 	}
 	if p.Title == "" {
@@ -95,7 +93,7 @@ func TestRunStampsProvenance(t *testing.T) {
 }
 
 func TestRunFig6MatchesPaper(t *testing.T) {
-	out, err := Run("fig6", testOpts())
+	out, err := testRun("fig6")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +130,7 @@ func TestRunFig6MatchesPaper(t *testing.T) {
 }
 
 func TestRunAppendix(t *testing.T) {
-	out, err := Run("minwi", testOpts())
+	out, err := testRun("minwi")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +144,7 @@ func TestRunAppendix(t *testing.T) {
 }
 
 func TestRunTable1(t *testing.T) {
-	out, err := Run("table1", testOpts())
+	out, err := testRun("table1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +158,7 @@ func TestRunTable1(t *testing.T) {
 }
 
 func TestRunFig3(t *testing.T) {
-	out, err := Run("fig3", testOpts())
+	out, err := testRun("fig3")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,9 +181,9 @@ func TestRunFig3(t *testing.T) {
 }
 
 func TestRunFig4(t *testing.T) {
-	opts := testOpts()
-	opts.Scale = 0.1
-	out, err := Run("fig4", opts)
+	req := testRequest("fig4")
+	req.Scale = 0.1
+	out, err := RunRequest(context.Background(), req, Runtime{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +209,7 @@ func TestRunFig4(t *testing.T) {
 }
 
 func TestRunFig7(t *testing.T) {
-	out, err := Run("fig7", testOpts())
+	out, err := testRun("fig7")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +229,7 @@ func TestRunFig7(t *testing.T) {
 }
 
 func TestRunFig8(t *testing.T) {
-	out, err := Run("fig8", testOpts())
+	out, err := testRun("fig8")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +246,7 @@ func TestRunFig8(t *testing.T) {
 }
 
 func TestRunFig9(t *testing.T) {
-	out, err := Run("fig9", testOpts())
+	out, err := testRun("fig9")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +261,7 @@ func TestRunFig9(t *testing.T) {
 }
 
 func TestRunFig11(t *testing.T) {
-	out, err := Run("fig11", testOpts())
+	out, err := testRun("fig11")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +292,7 @@ func TestRunFig11(t *testing.T) {
 }
 
 func TestRunFig12(t *testing.T) {
-	out, err := Run("fig12", testOpts())
+	out, err := testRun("fig12")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +319,7 @@ func TestRunFig12(t *testing.T) {
 }
 
 func TestRunFig14(t *testing.T) {
-	out, err := Run("fig14", testOpts())
+	out, err := testRun("fig14")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +341,7 @@ func TestRunFig14(t *testing.T) {
 }
 
 func TestRunFig17(t *testing.T) {
-	out, err := Run("fig17", testOpts())
+	out, err := testRun("fig17")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +353,7 @@ func TestRunFig17(t *testing.T) {
 }
 
 func TestRunFig18(t *testing.T) {
-	out, err := Run("fig18", testOpts())
+	out, err := testRun("fig18")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,7 +370,7 @@ func TestRunFig18(t *testing.T) {
 }
 
 func TestRunFig19(t *testing.T) {
-	out, err := Run("fig19", testOpts())
+	out, err := testRun("fig19")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,7 +385,7 @@ func TestRunFig19(t *testing.T) {
 }
 
 func TestRunFig15(t *testing.T) {
-	out, err := Run("fig15", testOpts())
+	out, err := testRun("fig15")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,7 +412,7 @@ func TestRunFig15(t *testing.T) {
 }
 
 func TestRunTable3(t *testing.T) {
-	out, err := Run("table3", testOpts())
+	out, err := testRun("table3")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -434,7 +432,7 @@ func TestRunTable3(t *testing.T) {
 }
 
 func TestRunFig16(t *testing.T) {
-	out, err := Run("fig16", testOpts())
+	out, err := testRun("fig16")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -455,7 +453,7 @@ func TestRunFig16(t *testing.T) {
 }
 
 func TestRunMotivation(t *testing.T) {
-	out, err := Run("motiv", testOpts())
+	out, err := testRun("motiv")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,7 @@ import (
 
 	"memcon/internal/dram"
 	"memcon/internal/obs"
+	"memcon/internal/parallel"
 	"memcon/internal/refresh"
 	"memcon/internal/report"
 )
@@ -25,9 +26,10 @@ import (
 // default". Defaults enter only at construction — DefaultRequest fills
 // them, and JSON bodies are decoded ONTO a default request so absent
 // fields keep their defaults while present ones (including an explicit
-// zero seed) stick. This replaces the Options.SeedSet flag, whose whole
-// job was to disambiguate "unset" from "zero" inside one struct.
+// zero seed) stick, with no separate "was it set?" flag.
 //
+// Request is the only run input: RunRequest normalizes it, hands it to
+// the experiment's runner, and stamps the report's provenance from it.
 // Execution knobs that do not affect the bytes (worker count,
 // observers, phase timers) are deliberately absent; they live in
 // Runtime.
@@ -67,27 +69,34 @@ type Request struct {
 	Version string `json:"version,omitempty"`
 }
 
-// DefaultRequest returns the full-scale request for an experiment id —
-// the same defaults DefaultOptions carries. Decode JSON request bodies
-// onto this value so absent fields default and present fields (even
-// explicit zeros) win.
+// The full-scale defaults: the paper-scale runs. Tests and the
+// benchmark use smaller scales.
+const (
+	defaultSeed      = 42
+	defaultScale     = 1.0
+	defaultSimTimeNs = 500_000
+	defaultMixes     = 30
+)
+
+// DefaultRequest returns the full-scale request for an experiment id.
+// Decode JSON request bodies onto this value so absent fields default
+// and present fields (even explicit zeros) win.
 func DefaultRequest(id string) Request {
-	d := DefaultOptions()
 	return Request{
 		Experiment: id,
-		Seed:       d.Seed,
-		Scale:      d.Scale,
-		SimTimeNs:  d.SimTimeNs,
-		Mixes:      d.Mixes,
+		Seed:       defaultSeed,
+		Scale:      defaultScale,
+		SimTimeNs:  defaultSimTimeNs,
+		Mixes:      defaultMixes,
 	}
 }
 
 // RequestFromProvenance reconstructs the request that produced a saved
 // report, field for field. Because Provenance and Request carry the
 // same input set, the round trip saved → Request → Normalize → run
-// reproduces the saved provenance exactly; a new provenance field only
-// survives review by being added to both structs and this function,
-// which is what keeps -diff re-runs from silently default-drifting.
+// reproduces the saved provenance exactly; a new input field is added
+// to both structs, this function and Request.Provenance, which is what
+// keeps -diff re-runs from silently default-drifting.
 func RequestFromProvenance(p report.Provenance) Request {
 	return Request{
 		Experiment: p.Experiment,
@@ -102,8 +111,27 @@ func RequestFromProvenance(p report.Provenance) Request {
 	}
 }
 
-// deriveFleet is the scale-proportional fleet-size default shared by
-// Request.Normalize and Options.normalize.
+// Provenance is the report header of a run of the normalized request:
+// the inverse of RequestFromProvenance plus the registry title.
+// Provenance stays its own struct because Title sits between Experiment
+// and Seed in its JSON, and the report bytes pin that order.
+func (r Request) Provenance() report.Provenance {
+	return report.Provenance{
+		Experiment: r.Experiment,
+		Title:      registry[r.Experiment].desc,
+		Seed:       r.Seed,
+		Scale:      r.Scale,
+		SimTimeNs:  r.SimTimeNs,
+		Mixes:      r.Mixes,
+		Fleet:      r.Fleet,
+		Mapping:    r.Mapping,
+		Disturb:    r.Disturb,
+		Version:    r.Version,
+	}
+}
+
+// deriveFleet is the scale-proportional fleet-size default Normalize
+// fills in for fleet experiments that leave Fleet below 1.
 func deriveFleet(scale float64) int {
 	n := int(160*scale + 0.5)
 	if n < 4 {
@@ -113,10 +141,10 @@ func deriveFleet(scale float64) int {
 }
 
 // Normalize validates the request and rewrites it into canonical form.
-// It is strict where Options.normalize was forgiving: out-of-range
-// inputs are errors, not silent substitutions, because a served request
-// that quietly ran with different numbers than asked for would poison
-// the content-addressed cache. The only rewrite is the Fleet
+// It is strict: out-of-range inputs are errors, not silent
+// substitutions of defaults, because a served request that quietly ran
+// with different numbers than asked for would poison the
+// content-addressed cache. The only rewrite is the Fleet
 // canonicalization (zero for experiments that ignore it, derived
 // default for fleet experiments that leave it unset).
 func (r *Request) Normalize() error {
@@ -124,7 +152,8 @@ func (r *Request) Normalize() error {
 	if !ok {
 		return fmt.Errorf("experiments: unknown experiment %q (known: %s)", r.Experiment, strings.Join(IDs(), ", "))
 	}
-	if r.Scale <= 0 || r.Scale > 1 {
+	// Written so NaN fails too: every comparison with NaN is false.
+	if !(r.Scale > 0 && r.Scale <= 1) {
 		return fmt.Errorf("experiments: scale %v out of range (0,1]", r.Scale)
 	}
 	if r.SimTimeNs <= 0 {
@@ -174,10 +203,11 @@ const cacheKeyDomain = "memcon-request-v1"
 
 // CacheKey returns the SHA-256 content address of the request: a hash
 // over the canonicalized (experiment, seed, scale, simtime, mixes,
-// fleet, mapping, version) tuple plus the report schema version. Two normalized
-// requests share a key exactly when their canonical report JSON is
-// byte-identical, which is what lets cmd/memcond serve repeat requests
-// from the cache without re-running anything.
+// fleet, version, mapping, disturb) tuple plus the report schema
+// version. Two normalized requests share a key exactly when their
+// canonical report JSON is byte-identical, which is what lets
+// cmd/memcond serve repeat requests from the cache without re-running
+// anything.
 //
 // Call Normalize first: the key hashes the fields literally, so a
 // non-canonical request (for example a stray Fleet on a single-module
@@ -200,9 +230,10 @@ func (r Request) CacheKey() [32]byte {
 	fmt.Fprintf(h, "fleet=%d\n", r.Fleet)
 	fmt.Fprintf(h, "version=%s\n", r.Version)
 	// Appended conditionally so every pre-mapping request — including
-	// all 28 pinned golden keys — hashes the exact same bytes as before
-	// the field existed. Normalize canonicalizes the default mapping to
-	// "", so only genuinely non-default requests take the new line.
+	// the pinned golden keys of the default mapping — hashes the exact
+	// same bytes as before the field existed. Normalize canonicalizes
+	// the default mapping to "", so only genuinely non-default requests
+	// take the new line.
 	if r.Mapping != "" {
 		fmt.Fprintf(h, "mapping=%s\n", r.Mapping)
 	}
@@ -236,8 +267,8 @@ func (r Request) MarshalCanonical() ([]byte, error) {
 // The zero value is ready to use.
 type Runtime struct {
 	// Workers bounds the fan-out of the parallel sweep loops; values
-	// below 1 select runtime.GOMAXPROCS(0). Reports are byte-identical
-	// for any value.
+	// below 1 select parallel.Workers' default (runtime.GOMAXPROCS(0)).
+	// Reports are byte-identical for any value.
 	Workers int
 	// Observer receives the structured lifecycle events of every engine
 	// the run drives; it must be safe for concurrent use.
@@ -246,15 +277,11 @@ type Runtime struct {
 	Phases *obs.PhaseTimer
 }
 
-// RunContext executes the experiment described by req under ctx and
-// stamps the result's provenance with the normalized inputs. It is the
-// context-aware, request-based entrypoint the serving daemon uses;
-// Run(id, Options) remains as a thin compatibility wrapper over it.
-func RunContext(ctx context.Context, req Request) (Result, error) {
-	return RunRequest(ctx, req, Runtime{})
-}
-
-// RunRequest is RunContext with explicit runtime knobs.
+// RunRequest executes the experiment described by req under ctx and
+// stamps the result's provenance with the normalized inputs. A nil ctx
+// means context.Background(). The worker count is deliberately not
+// recorded in provenance: reports are byte-identical for any value, and
+// provenance only holds inputs that determine the numbers.
 func RunRequest(ctx context.Context, req Request, rt Runtime) (Result, error) {
 	if err := req.Normalize(); err != nil {
 		return nil, err
@@ -262,39 +289,14 @@ func RunRequest(ctx context.Context, req Request, rt Runtime) (Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	e := registry[req.Experiment]
+	rt.Workers = parallel.Workers(rt.Workers)
 	if rt.Phases != nil {
 		defer rt.Phases.Start(req.Experiment)()
 	}
-	opts := Options{
-		Scale:     req.Scale,
-		Seed:      req.Seed,
-		SeedSet:   true,
-		SimTimeNs: req.SimTimeNs,
-		Mixes:     req.Mixes,
-		Fleet:     req.Fleet,
-		Mapping:   req.Mapping,
-		Disturb:   req.Disturb,
-		Workers:   rt.Workers,
-		Version:   req.Version,
-		Ctx:       ctx,
-		Observer:  rt.Observer,
-	}
-	res, err := e.runner(opts.normalize())
+	res, err := registry[req.Experiment].runner(ctx, req, rt)
 	if err != nil {
 		return nil, err
 	}
-	res.setProvenance(report.Provenance{
-		Experiment: req.Experiment,
-		Title:      e.desc,
-		Seed:       req.Seed,
-		Scale:      req.Scale,
-		SimTimeNs:  req.SimTimeNs,
-		Mixes:      req.Mixes,
-		Fleet:      req.Fleet,
-		Mapping:    req.Mapping,
-		Disturb:    req.Disturb,
-		Version:    req.Version,
-	})
+	res.setProvenance(req.Provenance())
 	return res, nil
 }

@@ -4,31 +4,26 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"memcon/internal/report"
 )
 
-func testRequest(id string) Request {
-	r := DefaultRequest(id)
-	r.Scale = 0.04
-	r.SimTimeNs = 200_000
-	r.Mixes = 2
-	return r
-}
-
-func TestDefaultRequestMatchesDefaultOptions(t *testing.T) {
-	d := DefaultOptions()
+// TestDefaultRequest pins the full-scale defaults: the paper-scale
+// values every CLI flag default and JSON overlay start from.
+func TestDefaultRequest(t *testing.T) {
 	r := DefaultRequest("fig14")
-	if r.Experiment != "fig14" || r.Seed != d.Seed || r.Scale != d.Scale ||
-		r.SimTimeNs != d.SimTimeNs || r.Mixes != d.Mixes {
-		t.Errorf("DefaultRequest = %+v, want the DefaultOptions values %+v", r, d)
+	want := Request{Experiment: "fig14", Seed: 42, Scale: 1, SimTimeNs: 500_000, Mixes: 30}
+	if r != want {
+		t.Errorf("DefaultRequest = %+v, want %+v (Fleet derived at Normalize)", r, want)
 	}
-	if r.Fleet != 0 {
-		t.Errorf("DefaultRequest.Fleet = %d, want 0 (derived at Normalize)", r.Fleet)
+	if err := r.Normalize(); err != nil {
+		t.Errorf("the default request does not normalize: %v", err)
 	}
 }
 
@@ -41,6 +36,7 @@ func TestNormalizeValidates(t *testing.T) {
 		{"unknown id", func(r *Request) { r.Experiment = "fig99" }, "unknown experiment"},
 		{"zero scale", func(r *Request) { r.Scale = 0 }, "scale"},
 		{"oversized scale", func(r *Request) { r.Scale = 1.5 }, "scale"},
+		{"NaN scale", func(r *Request) { r.Scale = math.NaN() }, "scale"},
 		{"zero simtime", func(r *Request) { r.SimTimeNs = 0 }, "simtime"},
 		{"negative mixes", func(r *Request) { r.Mixes = -1 }, "mixes"},
 		{"negative fleet", func(r *Request) { r.Fleet = -2 }, "fleet"},
@@ -96,8 +92,7 @@ func TestNormalizeCanonicalizesFleet(t *testing.T) {
 
 // TestRequestJSONOverlay pins the decode-onto-defaults idiom the server
 // uses: absent fields keep the defaults, present fields win, and an
-// explicit zero seed is honoured — the property Options needed SeedSet
-// for.
+// explicit zero seed is honoured.
 func TestRequestJSONOverlay(t *testing.T) {
 	req := DefaultRequest("fig3")
 	if err := json.Unmarshal([]byte(`{"seed":0,"scale":0.25}`), &req); err != nil {
@@ -109,7 +104,7 @@ func TestRequestJSONOverlay(t *testing.T) {
 	if req.Scale != 0.25 {
 		t.Errorf("scale = %v, want 0.25", req.Scale)
 	}
-	if req.SimTimeNs != DefaultOptions().SimTimeNs || req.Mixes != DefaultOptions().Mixes {
+	if d := DefaultRequest("fig3"); req.SimTimeNs != d.SimTimeNs || req.Mixes != d.Mixes {
 		t.Errorf("absent fields lost their defaults: %+v", req)
 	}
 	if req.Experiment != "fig3" {
@@ -177,9 +172,9 @@ func TestCacheKeyDiscriminates(t *testing.T) {
 // TestProvenanceRoundTrip is the -diff default-drift regression: for
 // every committed reference report, rebuilding the request from saved
 // provenance, normalizing, and restamping must reproduce the saved
-// provenance exactly (title aside — it comes from the registry). A new
-// provenance field that is not carried through RequestFromProvenance
-// fails here the moment a reference report records it.
+// provenance exactly. A new provenance field that is not carried
+// through RequestFromProvenance and Request.Provenance fails here the
+// moment a reference report records it.
 func TestProvenanceRoundTrip(t *testing.T) {
 	files, err := filepath.Glob(filepath.Join("..", "..", "testdata", "reports", "*.json"))
 	if err != nil {
@@ -202,17 +197,7 @@ func TestProvenanceRoundTrip(t *testing.T) {
 			t.Errorf("%s: Normalize: %v", f, err)
 			continue
 		}
-		got := report.Provenance{
-			Experiment: req.Experiment,
-			Title:      rep.Prov.Title,
-			Seed:       req.Seed,
-			Scale:      req.Scale,
-			SimTimeNs:  req.SimTimeNs,
-			Mixes:      req.Mixes,
-			Fleet:      req.Fleet,
-			Version:    req.Version,
-		}
-		if got != rep.Prov {
+		if got := req.Provenance(); got != rep.Prov {
 			t.Errorf("%s: provenance drifted through the Request round trip:\n  saved %+v\n  round %+v", f, rep.Prov, got)
 		}
 	}
@@ -220,12 +205,12 @@ func TestProvenanceRoundTrip(t *testing.T) {
 
 // TestRunContextStampsProvenance pins the request-based entrypoint: the
 // stamped provenance is the normalized request, and an explicit zero
-// seed survives (no SeedSet in sight).
+// seed survives.
 func TestRunContextStampsProvenance(t *testing.T) {
 	req := testRequest("minwi")
 	req.Seed = 0
 	req.Version = "req-build"
-	res, err := RunContext(context.Background(), req)
+	res, err := RunRequest(context.Background(), req, Runtime{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,38 +227,11 @@ func TestRunContextStampsProvenance(t *testing.T) {
 	}
 }
 
-// TestRunEqualsRunContext pins the compatibility wrapper: Run(id, Options)
-// and RunContext(Request) produce byte-identical canonical reports for
-// equivalent inputs.
-func TestRunEqualsRunContext(t *testing.T) {
-	opts := Options{Scale: 0.04, Seed: 7, SimTimeNs: 200_000, Mixes: 2, Workers: 2}
-	viaOptions, err := Run("fig6", opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req := Request{Experiment: "fig6", Seed: 7, Scale: 0.04, SimTimeNs: 200_000, Mixes: 2}
-	viaRequest, err := RunContext(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := viaOptions.Report().MarshalCanonical()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := viaRequest.Report().MarshalCanonical()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, b) {
-		t.Errorf("Run and RunContext disagree:\n--- Run ---\n%s\n--- RunContext ---\n%s", a, b)
-	}
-}
-
 func TestRunContextRejectsInvalid(t *testing.T) {
-	if _, err := RunContext(context.Background(), Request{Experiment: "fig99", Scale: 1, SimTimeNs: 1, Mixes: 1}); err == nil {
+	if _, err := RunRequest(context.Background(), Request{Experiment: "fig99", Scale: 1, SimTimeNs: 1, Mixes: 1}, Runtime{}); err == nil {
 		t.Error("unknown experiment accepted")
 	}
-	if _, err := RunContext(context.Background(), Request{Experiment: "fig6"}); err == nil {
+	if _, err := RunRequest(context.Background(), Request{Experiment: "fig6"}, Runtime{}); err == nil {
 		t.Error("zero-value request accepted (scale 0 must be invalid)")
 	}
 }
@@ -283,7 +241,62 @@ func TestRunContextRejectsInvalid(t *testing.T) {
 func TestRunContextCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RunContext(ctx, testRequest("fig3")); err == nil {
+	if _, err := RunRequest(ctx, testRequest("fig3"), Runtime{}); err == nil {
 		t.Error("cancelled context did not abort the run")
 	}
+}
+
+// FuzzRequest decodes arbitrary JSON onto the default request of a
+// registered id, the way memcond decodes request bodies. Bad input must
+// come back as an error, never a panic; a request that normalizes must
+// be a fixed point of Normalize; and its canonical JSON must decode and
+// normalize back to the same cache key.
+func FuzzRequest(f *testing.F) {
+	ids := IDs()
+	for i, id := range ids {
+		b, err := DefaultRequest(id).MarshalCanonical()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(uint8(i), b)
+	}
+	pick := func(id string) uint8 { return uint8(slices.Index(ids, id)) }
+	f.Add(pick("fig6"), []byte(`{"seed":0}`))
+	f.Add(pick("fig3"), []byte(`{"mapping":"gray","scale":0.05}`))
+	f.Add(pick("fig3"), []byte(`{"mapping":"default"}`))
+	f.Add(pick("disturb-mitigation"), []byte(`{"disturb":"para:0.01"}`))
+	f.Add(pick("disturb-exposure"), []byte(`{"disturb":"none"}`))
+	f.Add(pick("fig14"), []byte(`{"fleet":12}`))
+	f.Add(pick("fleet-ce"), []byte(`{"fleet":0,"scale":0.01}`))
+	f.Add(pick("fleet-risk"), []byte(`{"fleet":12}`))
+	f.Fuzz(func(t *testing.T, which uint8, body []byte) {
+		req := DefaultRequest(ids[int(which)%len(ids)])
+		if err := json.Unmarshal(body, &req); err != nil {
+			return
+		}
+		if err := req.Normalize(); err != nil {
+			return
+		}
+		once := req
+		if err := req.Normalize(); err != nil {
+			t.Fatalf("normalized request %+v fails a second Normalize: %v", once, err)
+		}
+		if req != once {
+			t.Fatalf("Normalize is not idempotent:\n  once  %+v\n  twice %+v", once, req)
+		}
+		b, err := req.MarshalCanonical()
+		if err != nil {
+			t.Fatalf("MarshalCanonical(%+v): %v", req, err)
+		}
+		var back Request
+		if err := json.Unmarshal(b, &back); err != nil {
+			t.Fatalf("canonical JSON %s does not decode: %v", b, err)
+		}
+		if err := back.Normalize(); err != nil {
+			t.Fatalf("canonical JSON %s does not normalize: %v", b, err)
+		}
+		if back.CacheKey() != req.CacheKey() {
+			t.Fatalf("canonical round trip changed the key:\n  in  %+v\n  out %+v", req, back)
+		}
+	})
 }

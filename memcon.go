@@ -291,15 +291,22 @@ func MinWriteInterval() dram.Nanoseconds {
 	return mwi
 }
 
-// Experiment runs one of the paper's evaluation artifacts by id (fig3,
-// fig4, fig6..fig19, table1, table3, minwi) and returns its rendered
-// report. Options zero-value means full scale.
-func Experiment(id string, opts ExperimentOptions) (fmt.Stringer, error) {
-	return experiments.Run(id, opts)
+// Experiment runs one of the paper's evaluation artifacts (fig3, fig4,
+// fig6..fig19, table1, table3, minwi, ...) as described by req and
+// returns its rendered report. Start from DefaultExperimentRequest and
+// shrink Scale, SimTimeNs or Mixes for faster runs.
+func Experiment(ctx context.Context, req ExperimentRequest) (fmt.Stringer, error) {
+	return experiments.RunRequest(ctx, req, experiments.Runtime{})
 }
 
-// ExperimentOptions tunes experiment scale and seeds.
-type ExperimentOptions = experiments.Options
+// ExperimentRequest describes one experiment run: id, seed, scale,
+// simulated time, mixes and the extension axes.
+type ExperimentRequest = experiments.Request
+
+// DefaultExperimentRequest returns the full-scale request for an id.
+func DefaultExperimentRequest(id string) ExperimentRequest {
+	return experiments.DefaultRequest(id)
+}
 
 // ExperimentIDs lists the available experiment ids.
 func ExperimentIDs() []string { return experiments.IDs() }
