@@ -343,16 +343,6 @@ func (r *Report) Tables() []*Table {
 	return out
 }
 
-// TableByKey returns the data table with the given key, or nil.
-func (r *Report) TableByKey(key string) *Table {
-	for _, t := range r.Tables() {
-		if t.Key == key {
-			return t
-		}
-	}
-	return nil
-}
-
 // String renders the report as text, making *Report a fmt.Stringer
 // drop-in for the pre-typed experiment results.
 func (r *Report) String() string { return r.Text() }

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"compress/gzip"
 	"context"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"io"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -19,15 +21,8 @@ func key(b byte) Key {
 	return k
 }
 
-// one returns a single-shard cache so eviction tests see one global
-// LRU instead of per-shard budgets.
-func one(opts Options) *Cache {
-	opts.Shards = 1
-	return NewWithOptions(opts)
-}
-
 func TestDoMissThenHit(t *testing.T) {
-	c := New(8)
+	c := NewWithOptions(Options{MaxEntries: 8})
 	var calls atomic.Int64
 	compute := func(context.Context) ([]byte, error) {
 		calls.Add(1)
@@ -61,7 +56,7 @@ func TestDoMissThenHit(t *testing.T) {
 // bytes stored with an entry decompress to exactly its identity bytes.
 func TestEntryGzipRoundTrip(t *testing.T) {
 	data := bytes.Repeat([]byte(`{"row":[1,2,3]}`+"\n"), 64)
-	c := New(8)
+	c := NewWithOptions(Options{MaxEntries: 8})
 	_, _, err := c.Do(context.Background(), key(1), nil, func(context.Context) ([]byte, error) {
 		return data, nil
 	})
@@ -92,7 +87,7 @@ func TestEntryGzipRoundTrip(t *testing.T) {
 }
 
 func TestDoError(t *testing.T) {
-	c := New(8)
+	c := NewWithOptions(Options{MaxEntries: 8})
 	boom := errors.New("boom")
 	_, o, err := c.Do(context.Background(), key(1), nil, func(context.Context) ([]byte, error) {
 		return nil, boom
@@ -115,7 +110,7 @@ func TestDoError(t *testing.T) {
 // TestSingleflight pins the collapse: N concurrent callers of one key
 // run compute exactly once and all see the same bytes.
 func TestSingleflight(t *testing.T) {
-	c := New(8)
+	c := NewWithOptions(Options{MaxEntries: 8})
 	var calls atomic.Int64
 	started := make(chan struct{})
 	release := make(chan struct{})
@@ -181,7 +176,7 @@ func TestSingleflight(t *testing.T) {
 // waiter gives up, the compute context is cancelled and nothing is
 // cached; a later caller starts a fresh computation.
 func TestAbandonedFlightCancelled(t *testing.T) {
-	c := New(8)
+	c := NewWithOptions(Options{MaxEntries: 8})
 	cancelled := make(chan struct{})
 	compute := func(ctx context.Context) ([]byte, error) {
 		<-ctx.Done()
@@ -216,7 +211,7 @@ func TestAbandonedFlightCancelled(t *testing.T) {
 // TestSurvivingWaiterKeepsFlight pins that one waiter cancelling does
 // not kill the run for the waiter that stays.
 func TestSurvivingWaiterKeepsFlight(t *testing.T) {
-	c := New(8)
+	c := NewWithOptions(Options{MaxEntries: 8})
 	started := make(chan struct{})
 	release := make(chan struct{})
 	compute := func(ctx context.Context) ([]byte, error) {
@@ -256,26 +251,26 @@ func TestSurvivingWaiterKeepsFlight(t *testing.T) {
 	if data := <-stayData; string(data) != "kept" {
 		t.Errorf("surviving waiter data = %q", data)
 	}
-	if _, ok := c.Get(key(9)); !ok {
+	if _, ok := c.Lookup(key(9)); !ok {
 		t.Error("completed flight not cached")
 	}
 }
 
 func TestLRUEviction(t *testing.T) {
-	c := one(Options{MaxEntries: 2})
+	c := NewWithOptions(Options{MaxEntries: 2})
 	c.Put(key(1), nil, []byte("a"))
 	c.Put(key(2), nil, []byte("b"))
-	if _, ok := c.Get(key(1)); !ok { // refresh 1; 2 becomes oldest
+	if _, ok := c.Lookup(key(1)); !ok { // refresh 1; 2 becomes oldest
 		t.Fatal("entry 1 missing")
 	}
 	c.Put(key(3), nil, []byte("c"))
-	if _, ok := c.Get(key(2)); ok {
+	if _, ok := c.Lookup(key(2)); ok {
 		t.Error("least-recently-used entry 2 not evicted")
 	}
-	if _, ok := c.Get(key(1)); !ok {
+	if _, ok := c.Lookup(key(1)); !ok {
 		t.Error("recently-used entry 1 evicted")
 	}
-	if _, ok := c.Get(key(3)); !ok {
+	if _, ok := c.Lookup(key(3)); !ok {
 		t.Error("new entry 3 missing")
 	}
 	if s := c.StatsSnapshot(); s.Evictions != 1 || s.Entries != 2 {
@@ -289,7 +284,7 @@ func TestLRUEviction(t *testing.T) {
 func TestByteBudgetEviction(t *testing.T) {
 	payload := bytes.Repeat([]byte("x"), 4096)
 	perEntry := newEntry(key(0), nil, payload).size()
-	c := one(Options{MaxBytes: 3 * perEntry})
+	c := NewWithOptions(Options{MaxBytes: 3 * perEntry})
 	for i := 1; i <= 5; i++ {
 		c.Put(key(byte(i)), nil, payload)
 	}
@@ -297,12 +292,12 @@ func TestByteBudgetEviction(t *testing.T) {
 		t.Errorf("entries after budget eviction = %d, want 3", got)
 	}
 	for i := 1; i <= 2; i++ {
-		if _, ok := c.Get(key(byte(i))); ok {
+		if _, ok := c.Lookup(key(byte(i))); ok {
 			t.Errorf("oldest entry %d survived the byte budget", i)
 		}
 	}
 	for i := 3; i <= 5; i++ {
-		if _, ok := c.Get(key(byte(i))); !ok {
+		if _, ok := c.Lookup(key(byte(i))); !ok {
 			t.Errorf("recent entry %d evicted", i)
 		}
 	}
@@ -311,61 +306,59 @@ func TestByteBudgetEviction(t *testing.T) {
 	}
 
 	// A budget smaller than one entry still holds the newest entry.
-	tiny := one(Options{MaxBytes: 1})
+	tiny := NewWithOptions(Options{MaxBytes: 1})
 	tiny.Put(key(1), nil, payload)
 	tiny.Put(key(2), nil, payload)
-	if _, ok := tiny.Get(key(2)); !ok || tiny.Len() != 1 {
+	if _, ok := tiny.Lookup(key(2)); !ok || tiny.Len() != 1 {
 		t.Errorf("tiny budget: len=%d", tiny.Len())
 	}
 }
 
-// TestShardedDistribution pins that shards actually partition the key
-// space and that per-shard stats sum to the merged snapshot.
-func TestShardedDistribution(t *testing.T) {
-	c := NewWithOptions(Options{Shards: 4})
-	for i := 0; i < 64; i++ {
-		var k Key
-		k[0], k[3] = byte(i), byte(i*7)
-		if _, _, err := c.Do(context.Background(), k, nil, func(context.Context) ([]byte, error) {
-			return []byte{byte(i)}, nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	per := c.ShardStats()
-	if len(per) != 4 {
-		t.Fatalf("ShardStats len = %d", len(per))
-	}
-	var sum Stats
-	populated := 0
-	for _, st := range per {
-		sum.add(st)
-		if st.Entries > 0 {
-			populated++
-		}
-	}
-	if populated < 2 {
-		t.Errorf("only %d of 4 shards populated by 64 keys", populated)
-	}
-	merged := c.StatsSnapshot()
-	if sum != merged {
-		t.Errorf("shard stats sum %+v != merged %+v", sum, merged)
-	}
-	if merged.Misses != 64 || merged.Entries != 64 {
-		t.Errorf("merged = %+v", merged)
+// spreadKey returns a SHA-256 content address, as the daemon uses, so
+// consecutive i land anywhere in the key space.
+func spreadKey(i int) Key { return sha256.Sum256([]byte(strconv.Itoa(i))) }
+
+// TestBudgetsBoundWholeTier pins that MaxEntries and MaxBytes bound the
+// whole memory tier whatever the keys' prefixes: after many Puts the
+// tier holds exactly the budgeted number of entries, the most recent.
+func TestBudgetsBoundWholeTier(t *testing.T) {
+	payload := bytes.Repeat([]byte("x"), 2048)
+	perEntry := newEntry(Key{}, nil, payload).size()
+	for _, tc := range []struct {
+		name string
+		opts Options
+		want int
+	}{
+		{"entries", Options{MaxEntries: 4}, 4},
+		{"bytes", Options{MaxBytes: 3 * perEntry}, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const n = 64
+			c := NewWithOptions(tc.opts)
+			for i := 0; i < n; i++ {
+				c.Put(spreadKey(i), nil, payload)
+			}
+			if got := c.Len(); got != tc.want {
+				t.Fatalf("entries = %d, want %d", got, tc.want)
+			}
+			for i := 0; i < n; i++ {
+				if _, ok := c.Lookup(spreadKey(i)); ok != (i >= n-tc.want) {
+					t.Errorf("key %d resident = %v", i, ok)
+				}
+			}
+		})
 	}
 }
 
 func TestPutReplaces(t *testing.T) {
-	c := New(4)
+	c := NewWithOptions(Options{MaxEntries: 4})
 	c.Put(key(1), []byte("r1"), []byte("old"))
 	c.Put(key(1), []byte("r1"), []byte("new"))
 	if c.Len() != 1 {
 		t.Fatalf("len = %d", c.Len())
 	}
-	data, _ := c.Get(key(1))
-	if string(data) != "new" {
-		t.Errorf("data = %q", data)
+	if e, _ := c.Lookup(key(1)); string(e.Data) != "new" {
+		t.Errorf("data = %q", e.Data)
 	}
 }
 
@@ -382,7 +375,7 @@ func TestKeyAndOutcomeStrings(t *testing.T) {
 }
 
 func TestUnboundedCache(t *testing.T) {
-	c := New(0)
+	c := NewWithOptions(Options{})
 	for i := 0; i < 100; i++ {
 		c.Put(key(byte(i)), nil, []byte(fmt.Sprintf("v%d", i)))
 	}
@@ -422,8 +415,8 @@ func TestDiskWriteThroughAndRestart(t *testing.T) {
 	if err != nil || o != Miss {
 		t.Fatalf("Do = %v, %v", o, err)
 	}
-	if c1.Store().Len() != 1 {
-		t.Fatalf("write-through missing: disk has %d entries", c1.Store().Len())
+	if c1.store.Len() != 1 {
+		t.Fatalf("write-through missing: disk has %d entries", c1.store.Len())
 	}
 
 	// "Restart": new cache, same directory.
@@ -460,7 +453,7 @@ func TestDiskCorruptEntryIsMissAndHeals(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	corruptFile(t, c1.Store().path(key(1)), 100)
+	corruptFile(t, c1.store.path(key(1)), 100)
 
 	c2 := diskCache(t, dir, Options{})
 	var ran atomic.Int64
@@ -474,7 +467,7 @@ func TestDiskCorruptEntryIsMissAndHeals(t *testing.T) {
 	if string(e.Data) != "good-bytes" {
 		t.Errorf("served %q", e.Data)
 	}
-	if st := c2.Store().StatsSnapshot(); st.Corrupt != 1 {
+	if st := c2.store.StatsSnapshot(); st.Corrupt != 1 {
 		t.Errorf("store stats = %+v, want 1 corrupt drop", st)
 	}
 	// Healed: a third cache serves it from disk again.

@@ -145,9 +145,6 @@ func OpenStore(dir string, maxBytes int64) (*Store, error) {
 	}, nil
 }
 
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
 func (s *Store) path(k Key) string { return filepath.Join(s.dir, k.String()) }
 
 // Scan indexes the directory's existing entries — the warm-boot pass a

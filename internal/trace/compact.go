@@ -62,48 +62,3 @@ func ReadCompact(r io.Reader) (*Trace, error) {
 		t.Events = append(t.Events, e)
 	}
 }
-
-// Merge combines multiple traces into one time-ordered trace. Page ids
-// are offset per input so the merged trace keeps pages distinct (the
-// multiprogrammed-workload view of a shared memory). The merged
-// duration is the maximum input duration.
-func Merge(name string, traces ...*Trace) *Trace {
-	out := &Trace{Name: name}
-	var pageBase uint32
-	for _, tr := range traces {
-		maxPage := tr.MaxPage()
-		for _, e := range tr.Events {
-			out.Events = append(out.Events, Event{Page: pageBase + e.Page, At: e.At})
-		}
-		if tr.Duration > out.Duration {
-			out.Duration = tr.Duration
-		}
-		pageBase += uint32(maxPage + 1)
-	}
-	out.Sort()
-	return out
-}
-
-// Slice returns the sub-trace covering [from, to), with timestamps
-// rebased to zero. Pages keep their ids.
-func (t *Trace) Slice(from, to Microseconds) *Trace {
-	out := &Trace{Name: t.Name, Duration: to - from}
-	for _, e := range t.Events {
-		if e.At >= from && e.At < to {
-			out.Events = append(out.Events, Event{Page: e.Page, At: e.At - from})
-		}
-	}
-	return out
-}
-
-// FilterPages returns the sub-trace containing only events whose page
-// satisfies keep.
-func (t *Trace) FilterPages(keep func(page uint32) bool) *Trace {
-	out := &Trace{Name: t.Name, Duration: t.Duration}
-	for _, e := range t.Events {
-		if keep(e.Page) {
-			out.Events = append(out.Events, e)
-		}
-	}
-	return out
-}

@@ -110,65 +110,3 @@ func TestCompactRoundTripProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestMerge(t *testing.T) {
-	a := &Trace{Name: "a", Duration: 100, Events: []Event{{Page: 0, At: 10}, {Page: 1, At: 50}}}
-	b := &Trace{Name: "b", Duration: 200, Events: []Event{{Page: 0, At: 20}}}
-	m := Merge("mix", a, b)
-	if m.Duration != 200 {
-		t.Errorf("merged duration = %d, want 200", m.Duration)
-	}
-	if len(m.Events) != 3 {
-		t.Fatalf("merged events = %d, want 3", len(m.Events))
-	}
-	if err := m.Validate(); err != nil {
-		t.Fatalf("merged trace invalid: %v", err)
-	}
-	// b's page 0 must have been offset past a's pages (0 and 1 -> base 2).
-	found := false
-	for _, e := range m.Events {
-		if e.At == 20 && e.Page == 2 {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("merged events = %+v, want b's page offset to 2", m.Events)
-	}
-	if m.Pages() != 3 {
-		t.Errorf("merged pages = %d, want 3", m.Pages())
-	}
-}
-
-func TestSlice(t *testing.T) {
-	tr := &Trace{Duration: 100, Events: []Event{
-		{Page: 1, At: 10}, {Page: 2, At: 40}, {Page: 3, At: 80},
-	}}
-	s := tr.Slice(30, 90)
-	if s.Duration != 60 {
-		t.Errorf("slice duration = %d, want 60", s.Duration)
-	}
-	if len(s.Events) != 2 {
-		t.Fatalf("slice events = %d, want 2", len(s.Events))
-	}
-	if s.Events[0].At != 10 || s.Events[1].At != 50 {
-		t.Errorf("slice timestamps not rebased: %+v", s.Events)
-	}
-}
-
-func TestFilterPages(t *testing.T) {
-	tr := &Trace{Duration: 100, Events: []Event{
-		{Page: 1, At: 10}, {Page: 2, At: 40}, {Page: 1, At: 80},
-	}}
-	f := tr.FilterPages(func(p uint32) bool { return p == 1 })
-	if len(f.Events) != 2 {
-		t.Fatalf("filtered events = %d, want 2", len(f.Events))
-	}
-	for _, e := range f.Events {
-		if e.Page != 1 {
-			t.Errorf("filter leaked page %d", e.Page)
-		}
-	}
-	if f.Duration != tr.Duration {
-		t.Error("filter changed duration")
-	}
-}

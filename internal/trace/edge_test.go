@@ -41,25 +41,6 @@ func TestIntervalsNoTrailingWhenEventAtEnd(t *testing.T) {
 	}
 }
 
-func TestSliceEmptyWindow(t *testing.T) {
-	tr := &Trace{Duration: 100, Events: []Event{{Page: 1, At: 50}}}
-	s := tr.Slice(60, 70)
-	if len(s.Events) != 0 || s.Duration != 10 {
-		t.Errorf("empty-window slice = %+v", s)
-	}
-}
-
-func TestMergeEmptyInputs(t *testing.T) {
-	m := Merge("nothing")
-	if len(m.Events) != 0 || m.Duration != 0 {
-		t.Errorf("merge of nothing = %+v", m)
-	}
-	m2 := Merge("one", &Trace{Duration: 10})
-	if m2.Duration != 10 {
-		t.Errorf("merge of empty trace duration = %d", m2.Duration)
-	}
-}
-
 func TestReadRejectsHugeName(t *testing.T) {
 	// Construct a v1 header with an absurd name length.
 	var buf bytes.Buffer

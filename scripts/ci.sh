@@ -10,7 +10,8 @@
 #      process because the experiment sweeps are parallel by default),
 #   6. the fleet simulation's sharded fan-out runs race-clean at the
 #      small scale the -short race pass skips,
-#   7. the hot-path benchmarks still run (single iteration smoke; see
+#   7. the hot-path and serve-cache benchmarks still run under the
+#      names scripts/bench.sh parses (single iteration smoke; see
 #      scripts/bench.sh for real measurements),
 #   8. both read-disturb co-simulation ids run race-instrumented at
 #      workers 1/4/8 with byte-identical output, plus one mitigated
@@ -63,6 +64,17 @@ go test -race -run 'TestFleet' ./cmd/memconsim
 # BENCH_engine.json, BENCH_fleet.json and BENCH_trace.json.
 echo "== bench smoke =="
 go test -run '^$' -bench 'BenchmarkReadBack|BenchmarkFailingCells|BenchmarkFailingCellsDense|BenchmarkDisturbScan|BenchmarkEngineRun|BenchmarkFleetRun|BenchmarkGenerate/|BenchmarkTraceSort' -benchtime=1x .
+# scripts/bench.sh parses these serve-cache series by name into
+# BENCH_serve.json; a renamed or dropped series fails here instead of
+# being written as null.
+serve_bench=$(go test -run '^$' -bench BenchmarkServeCache -benchtime=1x ./internal/servecache)
+echo "$serve_bench"
+for series in mem-hit disk-hit disk-write-through; do
+    echo "$serve_bench" | grep -Eq "^BenchmarkServeCache/$series(-[0-9]+)?[[:space:]]" || {
+        echo "bench smoke: BenchmarkServeCache/$series missing" >&2
+        exit 1
+    }
+done
 
 # Mapping sweep smoke: one chip-level experiment per vendor address
 # mapping, race-instrumented and fanned out over 4 workers. Catches a
